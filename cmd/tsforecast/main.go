@@ -31,13 +31,19 @@ func main() {
 	var (
 		dataset = flag.String("dataset", "ETTm1", "dataset: ETTm1, ETTm2, Solar, Weather, ElecDem, Wind")
 		model   = flag.String("model", "DLinear", "forecasting model")
-		method  = flag.String("method", "", "optional lossy method for the test input: "+cli.MethodList(compress.LossyMethods()))
 		eps     = flag.Float64("eps", 0.1, "error bound when -method is set")
 		scale   = flag.Float64("scale", 0.05, "dataset length scale")
 		seed    = flag.Int64("seed", 1, "random seed")
 		common  = cli.Bind(flag.CommandLine)
 	)
 	common.BindStore(flag.CommandLine)
+	var method string
+	flag.Func("method", "optional lossy method for the test input: "+cli.MethodList(compress.LossyMethods()),
+		func(s string) error {
+			m, err := cli.ParseMethod(s)
+			method = string(m)
+			return err
+		})
 	flag.Parse()
 	// For a single training run the worker bound acts on the runtime itself.
 	common.ApplyGOMAXPROCS()
@@ -51,9 +57,9 @@ func main() {
 		// With a result store the run goes through the evaluation harness
 		// as a one-cell grid, so the cell is checkpointed and a repeat of
 		// the same invocation costs one store read instead of a training.
-		runErr = runStored(*dataset, *model, *method, *eps, *scale, *seed, common)
+		runErr = runStored(*dataset, *model, method, *eps, *scale, *seed, common)
 	} else {
-		runErr = run(*dataset, *model, *method, *eps, *scale, *seed)
+		runErr = run(*dataset, *model, method, *eps, *scale, *seed)
 	}
 	// Profiles are flushed before any exit path: os.Exit skips defers.
 	if err := stopProfiles(); err != nil {

@@ -35,7 +35,6 @@ import (
 	"syscall"
 
 	"lossyts/internal/cli"
-	"lossyts/internal/compress"
 	"lossyts/internal/core"
 )
 
@@ -78,12 +77,9 @@ func run(mon *cli.Monitor, common *cli.Common) error {
 }
 
 func runSweep(ctx context.Context, mon *cli.Monitor, common *cli.Common) error {
-	var methods []compress.Method
-	for _, m := range cli.ParseMethods(mon.Methods) {
-		if _, err := compress.New(m); err != nil {
-			return err
-		}
-		methods = append(methods, m)
+	methods, err := cli.ParseMethods(mon.Methods)
+	if err != nil {
+		return err
 	}
 	var bounds []float64
 	for _, tok := range cli.SplitList(mon.Bounds) {

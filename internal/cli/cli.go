@@ -5,6 +5,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"runtime"
@@ -103,9 +104,16 @@ func BindGrid(fs *flag.FlagSet) *Grid {
 	fs.BoolVar(&g.Full, "full", false, "paper-scale run: full lengths, 10/5 seeds (very slow)")
 	fs.StringVar(&g.Datasets, "datasets", "", "comma-separated dataset subset (default: all six)")
 	fs.StringVar(&g.Models, "models", "", "comma-separated model subset (default: all seven)")
-	fs.StringVar(&g.Methods, "methods", "",
+	fs.Func("methods",
 		"comma-separated compression methods, or \"all\" for every registered lossy codec (default: paper grid "+
-			MethodList(compress.Methods)+"; registered: "+MethodList(compress.Registered())+")")
+			MethodList(compress.Methods)+"; registered: "+MethodList(compress.Registered())+")",
+		func(s string) error {
+			if _, err := ParseMethods(s); err != nil {
+				return err
+			}
+			g.Methods = s
+			return nil
+		})
 	return g
 }
 
@@ -134,7 +142,7 @@ func (g *Grid) Options(c *Common) core.Options {
 		opts.Models = SplitList(g.Models)
 	}
 	if g.Methods != "" {
-		opts.Methods = ParseMethods(g.Methods)
+		opts.Methods = splitMethods(g.Methods)
 	}
 	return opts
 }
@@ -161,12 +169,38 @@ func (g *Grid) Args() []string {
 	return args
 }
 
-// ParseMethods resolves a -methods flag value: "all" expands to every
-// registered parameter-free lossy codec, anything else splits as a
-// comma-separated list of registered method names. Unknown names surface
-// naturally as UnknownMethodError when the pipeline constructs the
-// compressor, with the registered set in the message.
-func ParseMethods(s string) []compress.Method {
+// ParseMethods resolves and validates a -methods flag value: "all" expands
+// to every registered parameter-free lossy codec, anything else splits as a
+// comma-separated list of method names, each checked by ParseMethod. The
+// commands bind it to their flags, so a bad list is a usage error at flag
+// parsing rather than a failure deep in the compress stage.
+func ParseMethods(s string) ([]compress.Method, error) {
+	ms := splitMethods(s)
+	if len(ms) == 0 {
+		return nil, errors.New("no compression method given")
+	}
+	for _, m := range ms {
+		if _, err := ParseMethod(string(m)); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
+}
+
+// ParseMethod resolves one method name. It fails with
+// compress.UnknownMethodError for a name with no registration, and with the
+// constructor's error for a method that needs construction parameters
+// (S-PMC, whose period no flag carries).
+func ParseMethod(name string) (compress.Method, error) {
+	m := compress.Method(strings.TrimSpace(name))
+	if _, err := compress.New(m); err != nil {
+		return "", err
+	}
+	return m, nil
+}
+
+// splitMethods expands "all" and splits a method list without validating it.
+func splitMethods(s string) []compress.Method {
 	if strings.EqualFold(strings.TrimSpace(s), "all") {
 		return compress.LossyMethods()
 	}

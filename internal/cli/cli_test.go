@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"errors"
 	"flag"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,6 +122,68 @@ func TestGridMethodsFlag(t *testing.T) {
 	}
 }
 
+// TestParseMethodsValidates: ParseMethods accepts registered methods that
+// construct without parameters, lossless ones included, and refuses an
+// unknown name (with compress.UnknownMethodError), a method that needs
+// construction parameters (S-PMC), and an empty list.
+func TestParseMethodsValidates(t *testing.T) {
+	got, err := ParseMethods(" PMC, LFZIP ,GORILLA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []compress.Method{"PMC", "LFZIP", "GORILLA"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseMethods = %v, want %v", got, want)
+	}
+	if got, err := ParseMethods("ALL"); err != nil || !reflect.DeepEqual(got, compress.LossyMethods()) {
+		t.Fatalf("ParseMethods(ALL) = %v, %v; want LossyMethods %v", got, err, compress.LossyMethods())
+	}
+	_, err = ParseMethods("PMC,ZFP")
+	var unknown *compress.UnknownMethodError
+	if !errors.As(err, &unknown) || unknown.Method != "ZFP" {
+		t.Fatalf("ParseMethods(PMC,ZFP) error = %v, want UnknownMethodError for ZFP", err)
+	}
+	for _, bad := range []string{"S-PMC", "SZ,S-PMC", "", " , "} {
+		if ms, err := ParseMethods(bad); err == nil {
+			t.Errorf("ParseMethods(%q) = %v, want an error", bad, ms)
+		}
+	}
+	if m, err := ParseMethod(" SWING "); err != nil || m != "SWING" {
+		t.Fatalf("ParseMethod(SWING) = %q, %v", m, err)
+	}
+	if _, err := ParseMethod("S-PMC"); err == nil {
+		t.Fatal("ParseMethod(S-PMC) accepted a method that needs a period")
+	}
+}
+
+// TestGridMethodsFlagRejectsAtParse: a bad -methods value fails the flag
+// parse itself, before any grid runs, and leaves the grid's method list
+// unset; a good one is stored verbatim for Args to hand to workers.
+func TestGridMethodsFlagRejectsAtParse(t *testing.T) {
+	for _, bad := range []string{"ZFP", "PMC,S-PMC", ","} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		g := BindGrid(fs)
+		err := fs.Parse([]string{"-methods", bad})
+		if err == nil || !strings.Contains(err.Error(), "-methods") {
+			t.Fatalf("-methods %q: parse error = %v, want a -methods usage error", bad, err)
+		}
+		if g.Methods != "" {
+			t.Fatalf("-methods %q: rejected value stored as %q", bad, g.Methods)
+		}
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	g := BindGrid(fs)
+	if err := fs.Parse([]string{"-methods", "SZ, CAMEO"}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Methods != "SZ, CAMEO" {
+		t.Fatalf("-methods stored as %q", g.Methods)
+	}
+	if got := g.Options(&Common{}).Methods; !reflect.DeepEqual(got, []compress.Method{"SZ", "CAMEO"}) {
+		t.Fatalf("Options().Methods = %v", got)
+	}
+}
+
 // extcliCompressor is a minimal external codec registered only by this test
 // binary: the regression guard that a registration — with no cli/core/cmd
 // edits at all — reaches every flag surface.
@@ -147,8 +211,12 @@ func init() {
 // monitor sweep default, and the rendered method lists in help text.
 func TestExternalCodecReachesFlagSurfaces(t *testing.T) {
 	const ext = compress.Method("EXTCLI")
+	all, err := ParseMethods("all")
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, m := range ParseMethods("all") {
+	for _, m := range all {
 		if m == ext {
 			found = true
 		}

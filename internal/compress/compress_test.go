@@ -27,7 +27,9 @@ func synthSeries(n int, seed int64) *timeseries.Series {
 	return timeseries.New("synth", 1_600_000_000, 900, v)
 }
 
-func lossyMethods() []Method { return []Method{MethodPMC, MethodSwing, MethodSZ} }
+// lossyMethods is every registered parameter-free lossy codec, so the
+// bound tests cover each codec the grid, sweep and serve surfaces offer.
+func lossyMethods() []Method { return LossyMethods() }
 
 func TestRelativeBoundHolds(t *testing.T) {
 	s := synthSeries(2000, 42)

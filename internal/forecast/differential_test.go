@@ -48,13 +48,15 @@ func trainAndPredict(t *testing.T, modelName string, reference bool) [][]float64
 	return preds
 }
 
-// TestFusedKernelsMatchReference trains one GRU and one Transformer with
-// the fast kernels and with the reference kernels and requires the final
-// forecasts to agree within 1e-9 — the acceptance bound for the backward
-// kernels' regrouped floating-point additions, compounded over every
-// optimizer step of training.
+// TestFusedKernelsMatchReference trains a GRU, a Transformer, a DLinear
+// and an Informer (whose ProbSparse attention is one fused node on the
+// fast path and the original op chain on the reference path) with the fast
+// kernels and with the reference kernels and requires the final forecasts
+// to agree within 1e-9 — the acceptance bound for the backward kernels'
+// regrouped floating-point additions, compounded over every optimizer step
+// of training.
 func TestFusedKernelsMatchReference(t *testing.T) {
-	for _, modelName := range []string{"GRU", "Transformer", "DLinear"} {
+	for _, modelName := range []string{"GRU", "Transformer", "DLinear", "Informer"} {
 		fast := trainAndPredict(t, modelName, false)
 		ref := trainAndPredict(t, modelName, true)
 		for i := range ref {

@@ -10,10 +10,13 @@ import (
 )
 
 // probSparseAttention is Informer's ProbSparse self-attention (Zhou et al.,
-// AAAI 2021): only the top-u queries by the sparsity measurement
+// AAAI 2021) with its input and output projections. Per batch-head, the
+// u = ⌈factor·ln(T+1)⌉ queries with the largest sparsity measurement
 // M(q) = max_j(qkᵀ/√d) − mean_j(qkᵀ/√d) attend normally; the remaining
-// "lazy" queries output the mean of the values, which for self-attention is
-// the uniform-attention result.
+// "lazy" queries output the mean of the values, the uniform-attention
+// result. nn.ProbSparseAttention computes the measurement on the full
+// score matrix but runs softmax·v, and its backward, for the active rows
+// only; the lazy rows share one mean row.
 type probSparseAttention struct {
 	heads          int
 	dModel         int
@@ -46,63 +49,8 @@ func (p *probSparseAttention) forward(x *nn.Tensor) *nn.Tensor {
 	kh := nn.SplitHeads(p.wk.Forward(x), p.heads)
 	vh := nn.SplitHeads(p.wv.Forward(x), p.heads)
 	dh := p.dModel / p.heads
-	scores := nn.Scale(nn.MatMul(qh, nn.Transpose(kh)), 1/math.Sqrt(float64(dh))) // [BH, T, T]
-
-	bh, t := scores.Shape[0], scores.Shape[1]
-	u := int(math.Ceil(p.factor * math.Log(float64(t)+1)))
-	if u > t {
-		u = t
-	}
-	// Select the top-u queries per batch-head by the sparsity measurement.
-	// The selection itself is treated as a constant (as in Informer, where
-	// lazy queries are simply never computed).
-	selMask := nn.ZerosLike(scores, bh, t, t) // 1 on rows of active queries
-	uniform := nn.ZerosLike(scores, bh, t, t) // 1/T on rows of lazy queries
-	measure := make([]float64, t)             // M(q) per query
-	order := make([]int, t)                   // query indices sorted by M(q)
-	for b := 0; b < bh; b++ {
-		base := b * t * t
-		for qi := 0; qi < t; qi++ {
-			row := scores.Data[base+qi*t : base+(qi+1)*t]
-			maxV, sum := row[0], 0.0
-			for _, v := range row {
-				if v > maxV {
-					maxV = v
-				}
-				sum += v
-			}
-			measure[qi] = maxV - sum/float64(t)
-			order[qi] = qi
-		}
-		// Partial selection of the u largest measurements.
-		for i := 0; i < u; i++ {
-			best := i
-			for j := i + 1; j < t; j++ {
-				if measure[order[j]] > measure[order[best]] {
-					best = j
-				}
-			}
-			order[i], order[best] = order[best], order[i]
-		}
-		active := make(map[int]bool, u)
-		for i := 0; i < u; i++ {
-			active[order[i]] = true
-		}
-		for qi := 0; qi < t; qi++ {
-			row := base + qi*t
-			if active[qi] {
-				for j := 0; j < t; j++ {
-					selMask.Data[row+j] = 1
-				}
-			} else {
-				for j := 0; j < t; j++ {
-					uniform.Data[row+j] = 1 / float64(t)
-				}
-			}
-		}
-	}
-	attn := nn.Add(nn.Mul(nn.Softmax(scores), selMask), uniform)
-	out := nn.MatMul(attn, vh)
+	u := int(math.Ceil(p.factor * math.Log(float64(qh.Shape[1])+1)))
+	out := nn.ProbSparseAttention(qh, kh, vh, 1/math.Sqrt(float64(dh)), u)
 	return p.wo.Forward(nn.MergeHeads(out, p.heads))
 }
 

@@ -275,3 +275,56 @@ func TestEnsembleForwardsPhase(t *testing.T) {
 		t.Fatal("phase not forwarded to Arima member")
 	}
 }
+
+// TestPredictInferenceArenaMatchesGradientArena: every deep model's Predict,
+// which runs in an inference arena, returns bit-identical forecasts to the
+// same forward pass in a gradient arena, where the autodiff graph is built.
+// The input length gives Informer's ProbSparse layers lazy queries on both
+// encoder levels (T=48, u=20 and T=24, u=17).
+func TestPredictInferenceArenaMatchesGradientArena(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	cfg.InputLen = 48
+	cfg.Horizon = 6
+	cfg.HiddenSize = 8
+	cfg.Epochs = 1
+	cfg.MaxTrainWindows = 16
+	series := make([]float64, 240)
+	for i := range series {
+		series[i] = math.Sin(float64(i)/5) + 0.2*math.Cos(float64(i)/13)
+	}
+	var inputs [][]float64
+	for s := 0; s+cfg.InputLen <= len(series); s += 23 {
+		inputs = append(inputs, series[s:s+cfg.InputLen])
+	}
+	for _, name := range []string{"DLinear", "GRU", "Informer", "NBeats", "Transformer"} {
+		m, err := New(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fit(series, series[:cfg.InputLen+cfg.Horizon+4]); err != nil {
+			t.Fatalf("%s fit: %v", name, err)
+		}
+		got, err := m.Predict(inputs)
+		if err != nil {
+			t.Fatalf("%s predict: %v", name, err)
+		}
+		arena := nn.NewArena()
+		x := nn.Zeros(len(inputs), cfg.InputLen).InArena(arena)
+		for i, w := range inputs {
+			copy(x.Data[i*cfg.InputLen:], w)
+		}
+		want := m.(network).forward(x, false)
+		if !want.RequiresGrad() {
+			t.Fatalf("%s: the gradient-arena forward built no graph", name)
+		}
+		for i := range got {
+			for j, v := range got[i] {
+				if w := want.Data[i*cfg.Horizon+j]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s: forecast[%d][%d] inference arena %v, gradient arena %v (want bit-equal)", name, i, j, v, w)
+				}
+			}
+		}
+		arena.Release()
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"lossyts/internal/nn"
 	"lossyts/internal/timeseries"
@@ -130,11 +131,23 @@ func evalMSE(net network, cfg Config, inputs, targets [][]float64) float64 {
 	return s / float64(n)
 }
 
-// predictNeural evaluates the network in inference mode.
+// inferenceArenas recycles predictNeural's arenas. A released arena hands
+// its buffers back to the global pools but keeps its graph nodes, so a
+// recurrent forward (a GRU builds a dozen nodes per time step) reuses them
+// instead of allocating fresh ones on every prediction.
+var inferenceArenas = sync.Pool{New: func() any { return nn.NewInferenceArena() }}
+
+// predictNeural evaluates the network in inference mode. The forward
+// passes run in an inference arena, so they build no autodiff graph: no
+// gradient buffers, parent links or backward state, and the same
+// forecasts, bit for bit, as a forward pass in a gradient arena.
 func predictNeural(net network, cfg Config, inputs [][]float64) [][]float64 {
 	out := make([][]float64, 0, len(inputs))
-	arena := nn.NewArena()
-	defer arena.Release()
+	arena := inferenceArenas.Get().(*nn.Arena)
+	defer func() {
+		arena.Release()
+		inferenceArenas.Put(arena)
+	}()
 	const bs = 64
 	for start := 0; start < len(inputs); start += bs {
 		end := start + bs

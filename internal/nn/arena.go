@@ -82,10 +82,26 @@ type Arena struct {
 	bwSeen  map[*Tensor]bool
 	bwOrder []*Tensor
 	bwStack []bwFrame
+
+	// inference marks a gradient-free arena (see NewInferenceArena).
+	inference bool
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
+
+// NewInferenceArena returns an empty arena for forward passes that are
+// never differentiated. Ops whose inputs carry an inference arena build no
+// autodiff graph — result gives their outputs no Grad buffer, no parent
+// links, and no backward closure, even when a parent is a trainable
+// parameter — and keep no state that only backward reads (attention
+// probabilities, layer-norm statistics, pooling argmaxes). Forward values
+// are bit-identical to those computed in a gradient arena; calling
+// Backward on an output is a no-op.
+func NewInferenceArena() *Arena { return &Arena{inference: true} }
+
+// noGrad reports whether ops allocating from a build no autodiff graph.
+func noGrad(a *Arena) bool { return a != nil && a.inference }
 
 // alloc returns a zeroed slice of length n backed by pooled memory.
 func (a *Arena) alloc(n int) []float64 {

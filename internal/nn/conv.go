@@ -112,8 +112,14 @@ func MaxPool1D(x *Tensor, kernel, stride int) *Tensor {
 	}
 	b, t, c := x.Shape[0], x.Shape[1], x.Shape[2]
 	ot := (t + stride - 1) / stride
-	data := allocFromUninit(arenaOf(x), b*ot*c)
-	argmax := make([]int, b*ot*c)
+	ar := arenaOf(x)
+	data := allocFromUninit(ar, b*ot*c)
+	// The argmax map routes gradients in backward; an inference arena
+	// skips it.
+	var argmax []int
+	if !noGrad(ar) {
+		argmax = make([]int, b*ot*c)
+	}
 	for bi := 0; bi < b; bi++ {
 		for oi := 0; oi < ot; oi++ {
 			start := oi * stride
@@ -131,7 +137,9 @@ func MaxPool1D(x *Tensor, kernel, stride int) *Tensor {
 					}
 				}
 				data[(bi*ot+oi)*c+ci] = best
-				argmax[(bi*ot+oi)*c+ci] = bestIdx
+				if argmax != nil {
+					argmax[(bi*ot+oi)*c+ci] = bestIdx
+				}
 			}
 		}
 	}

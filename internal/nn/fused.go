@@ -140,12 +140,16 @@ func LinearFused(x, w, b *Tensor, act Activation) *Tensor {
 	}
 	matmulFwd(data, x.Data, w.Data, rows, in, out)
 	var preact []float64
-	if act == ActGELU {
+	if act == ActGELU && !noGrad(ar) {
 		preact = allocFromUninit(ar, rows*out)
 		copy(preact, data)
 	}
 	applyActInPlace(data, act)
 	outShape := append(append([]int(nil), x.Shape[:len(x.Shape)-1]...), out)
+	if noGrad(ar) {
+		// Inference: result would drop the closure, so skip allocating it.
+		return result(outShape, data, nil, x)
+	}
 	back := func(o *Tensor) {
 		dpre := o.Grad
 		if act != ActIdentity {
@@ -182,6 +186,9 @@ func AddSigmoid(a, b *Tensor) *Tensor {
 	for i := range data {
 		data[i] = 1 / (1 + math.Exp(-(a.Data[i] + b.Data[i])))
 	}
+	if noGrad(arenaOf2(a, b)) {
+		return result(a.Shape, data, nil, a, b)
+	}
 	return result(a.Shape, data, func(out *Tensor) {
 		ag, bg := a.requiresGrad, b.requiresGrad
 		for i, g := range out.Grad {
@@ -206,6 +213,9 @@ func AddTanh(a, b *Tensor) *Tensor {
 	data := allocFromUninit(arenaOf2(a, b), len(a.Data))
 	for i := range data {
 		data[i] = math.Tanh(a.Data[i] + b.Data[i])
+	}
+	if noGrad(arenaOf2(a, b)) {
+		return result(a.Shape, data, nil, a, b)
 	}
 	return result(a.Shape, data, func(out *Tensor) {
 		ag, bg := a.requiresGrad, b.requiresGrad
@@ -235,6 +245,9 @@ func Lerp(a, b, w *Tensor) *Tensor {
 	for i := range data {
 		wv := w.Data[i]
 		data[i] = (1-wv)*a.Data[i] + wv*b.Data[i]
+	}
+	if noGrad(arenaOf2(a, b)) {
+		return result(a.Shape, data, nil, a, b, w)
 	}
 	return result(a.Shape, data, func(out *Tensor) {
 		ag, bg, wg := a.requiresGrad, b.requiresGrad, w.requiresGrad
@@ -369,17 +382,27 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 	// probs holds the scores in place until the row softmax overwrites them.
 	// The prefix path needs the masked suffixes zeroed (they stay exactly 0
 	// through the whole op); the dense path overwrites every element.
+	// Backward reads every head's probabilities; an inference arena keeps
+	// one head's [Tq, Tk] scratch instead, reused head after head.
+	keep := !noGrad(ar)
+	n := tq * tk
+	if keep {
+		n *= bh
+	}
 	var probs []float64
 	if rowEnd != nil {
-		probs = allocFrom(ar, bh*tq*tk)
+		probs = allocFrom(ar, n)
 	} else {
-		probs = allocFromUninit(ar, bh*tq*tk)
+		probs = allocFromUninit(ar, n)
 	}
 	data := allocFrom(ar, bh*tq*dh)
 	for b := 0; b < bh; b++ {
 		qb := q.Data[b*tq*dh : (b+1)*tq*dh]
 		kb := k.Data[b*tk*dh : (b+1)*tk*dh]
-		pb := probs[b*tq*tk : (b+1)*tq*tk]
+		pb := probs
+		if keep {
+			pb = probs[b*tq*tk : (b+1)*tq*tk]
+		}
 		if rowEnd != nil {
 			matmulNTPrefix(pb, qb, kb, tq, tk, dh, rowEnd)
 		} else {
@@ -431,6 +454,9 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 			}
 		}
 		matmulFwd(data[b*tq*dh:(b+1)*tq*dh], pb, v.Data[b*tk*dh:(b+1)*tk*dh], tq, tk, dh)
+	}
+	if !keep {
+		return result([]int{bh, tq, dh}, data, nil, q, k, v)
 	}
 	back := func(o *Tensor) {
 		// Per-batch-head dP/dS scratch. The store-form kernels overwrite the

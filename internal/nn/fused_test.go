@@ -383,3 +383,295 @@ func TestArenaPropagation(t *testing.T) {
 		t.Fatalf("parameter unexpectedly tagged with an arena")
 	}
 }
+
+// TestGradProbSparseAttention finite-difference-checks the ProbSparse
+// attention gradients for q, k, and v with both active and lazy queries,
+// at a length below the per-row threshold (T=6) and above it (T=18).
+func TestGradProbSparseAttention(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, tc := range []struct {
+		name     string
+		tlen, u  int
+		heads, d int
+	}{
+		{"Short", 6, 3, 2, 4},
+		{"Rows", 18, 5, 2, 4},
+	} {
+		q := Randn(rng, 1, tc.heads, tc.tlen, tc.d).Param()
+		k := Randn(rng, 1, tc.heads, tc.tlen, tc.d).Param()
+		v := Randn(rng, 1, tc.heads, tc.tlen, tc.d).Param()
+		c := Randn(rng, 1, tc.heads, tc.tlen, tc.d)
+		loss := func() *Tensor {
+			q.ZeroGrad()
+			k.ZeroGrad()
+			v.ZeroGrad()
+			return Mean(Mul(ProbSparseAttention(q, k, v, 0.5, tc.u), c))
+		}
+		checkGrad(t, "ProbSparseAttention/"+tc.name+"/Q", q, loss, 1e-5)
+		checkGrad(t, "ProbSparseAttention/"+tc.name+"/K", k, loss, 1e-5)
+		checkGrad(t, "ProbSparseAttention/"+tc.name+"/V", v, loss, 1e-5)
+	}
+}
+
+// attnRun is one attention evaluation: the output and the input gradients.
+type attnRun struct{ out, gq, gk, gv []float64 }
+
+// evalProbSparse runs build on seeded [bh, t, d] inputs (poisoned, when
+// poison is set) in a gradient arena whose pooled buffers were dirtied by
+// a previous step, backpropagates Mean(y⊙c), and returns the result.
+func evalProbSparse(seed int64, bh, t, d int, poison func(q, k *Tensor), build func(q, k, v *Tensor) *Tensor) attnRun {
+	ar := NewArena()
+	defer ar.Release()
+	warm := rand.New(rand.NewSource(seed + 1000))
+	wq := Randn(warm, 1, bh, t, d).Param()
+	wk := Randn(warm, 1, bh, t, d).Param()
+	wv := Randn(warm, 1, bh, t, d).Param()
+	Mean(build(SplitHeads(wq.InArena(ar), 1), wk, wv)).Backward()
+	ar.Reset()
+
+	rng := rand.New(rand.NewSource(seed))
+	q := Randn(rng, 1, bh, t, d).Param()
+	k := Randn(rng, 1, bh, t, d).Param()
+	v := Randn(rng, 1, bh, t, d).Param()
+	c := Randn(rng, 1, bh, t, d)
+	if poison != nil {
+		poison(q, k)
+	}
+	// SplitHeads with one head is an arena-tagged copy of q, so the op
+	// allocates from the (dirty) arena; its gradient lands in q.Grad.
+	y := build(SplitHeads(q.InArena(ar), 1), k, v)
+	Mean(Mul(y, c)).Backward()
+	return attnRun{
+		out: append([]float64(nil), y.Data...),
+		gq:  append([]float64(nil), q.Grad...),
+		gk:  append([]float64(nil), k.Grad...),
+		gv:  append([]float64(nil), v.Grad...),
+	}
+}
+
+// poisonScores plants non-finite values in q and k so that some score rows
+// hold a NaN, some a +Inf, some a −Inf among finite scores, one both +Inf
+// and −Inf, and one only −Inf. k's first feature is made positive in head 1
+// so that a query of (−Inf, 0, …, 0) scores −Inf against every key.
+func poisonScores(q, k *Tensor) {
+	t, d := q.Shape[1], q.Shape[2]
+	q.Data[3*d+1] = math.NaN()      // head 0, query 3: a NaN row
+	k.Data[5*d+0] = math.Inf(1)     // head 0, key 5: +Inf or −Inf in every row's column 5
+	q.Data[t*d+2*d+1] = math.Inf(1) // head 1, query 2: ±Inf by the sign of each key's feature 1
+	for j := 0; j < t; j++ {
+		k.Data[t*d+j*d] = math.Abs(k.Data[t*d+j*d]) + 0.1
+	}
+	row := q.Data[t*d+4*d : t*d+5*d] // head 1, query 4: only −Inf
+	for c := range row {
+		row[c] = 0
+	}
+	row[0] = math.Inf(-1)
+}
+
+// zeroScores zeroes the last query of head 0 and makes key 2 of head 0
+// negative, so that their score is a sum of −0 products: the store-form
+// score kernel then writes −0 where the chain's accumulate-into-zero kernel
+// writes +0, a difference no later step may observe. (At T=7 the last
+// query falls outside matmulFwd's four-row blocks, where the axpy form
+// skips each zero element of q.)
+func zeroScores(q, k *Tensor) {
+	t, d := q.Shape[1], q.Shape[2]
+	clear(q.Data[(t-1)*d : t*d])
+	for c := 0; c < d; c++ {
+		k.Data[2*d+c] = -math.Abs(k.Data[2*d+c]) - 0.1
+	}
+}
+
+// sameFloat reports bit equality, with any two NaNs equal (a NaN's payload
+// depends on which operand the hardware propagates).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestProbSparseMatchesChain compares the fused ProbSparse node against the
+// op chain it replaces, both on the fast kernels: output and every input
+// gradient must agree bit for bit, NaN for NaN. The cases cover the per-row
+// path (T ≥ 16) and the whole-matrix path (T < 16), no and every query
+// active, and score rows with NaN, +Inf, −Inf, and only −Inf.
+func TestProbSparseMatchesChain(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bh, t, d int
+		u        int
+		poison   func(q, k *Tensor)
+		wantNaN  bool
+	}{
+		{"Rows", 3, 20, 8, 5, nil, false},
+		{"RowsOddDepth", 2, 17, 3, 4, nil, false},
+		{"Short", 2, 7, 3, 3, nil, false},
+		{"AllLazy", 2, 20, 8, 0, nil, false},
+		{"AllActive", 2, 20, 8, 25, nil, false},
+		{"ZeroScores", 2, 20, 8, 5, zeroScores, false},
+		{"ZeroScoresAllLazy", 2, 20, 8, 0, zeroScores, false},
+		{"NonFinite", 2, 20, 8, 5, poisonScores, true},
+		{"NonFiniteShort", 2, 7, 3, 3, poisonScores, true},
+		{"NonFiniteAllLazy", 2, 20, 8, 0, poisonScores, true},
+		// A zero query against an infinite key: the chain's axpy-form score
+		// matmul at T < 16 skips the 0·Inf products, its dot form does not.
+		{"ZeroTimesInfShort", 2, 7, 3, 3, func(q, k *Tensor) { zeroScores(q, k); poisonScores(q, k) }, true},
+		{"ZeroTimesInf", 2, 20, 8, 5, func(q, k *Tensor) { zeroScores(q, k); poisonScores(q, k) }, true},
+	} {
+		fused := evalProbSparse(61, tc.bh, tc.t, tc.d, tc.poison, func(q, k, v *Tensor) *Tensor {
+			return ProbSparseAttention(q, k, v, 0.35, tc.u)
+		})
+		chain := evalProbSparse(61, tc.bh, tc.t, tc.d, tc.poison, func(q, k, v *Tensor) *Tensor {
+			return probSparseChain(q, k, v, 0.35, tc.u)
+		})
+		sawNaN := false
+		for kind, pair := range map[string][2][]float64{
+			"out": {fused.out, chain.out}, "gq": {fused.gq, chain.gq},
+			"gk": {fused.gk, chain.gk}, "gv": {fused.gv, chain.gv},
+		} {
+			for i := range pair[1] {
+				if !sameFloat(pair[0][i], pair[1][i]) {
+					t.Fatalf("%s: %s[%d] fused %v, chain %v (want bit-equal)", tc.name, kind, i, pair[0][i], pair[1][i])
+				}
+				sawNaN = sawNaN || math.IsNaN(pair[1][i])
+			}
+		}
+		if sawNaN != tc.wantNaN {
+			t.Fatalf("%s: NaN in the results = %v, want %v", tc.name, sawNaN, tc.wantNaN)
+		}
+	}
+}
+
+// TestProbSparseInferenceMatchesChain: in an inference arena the op keeps
+// one head of attention scratch and builds no graph, and its output still
+// equals the chain's bit for bit.
+func TestProbSparseInferenceMatchesChain(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bh, t, d int
+		poison   func(q, k *Tensor)
+	}{
+		{"Rows", 3, 20, 8, nil},
+		{"Short", 2, 7, 3, nil},
+		{"NonFinite", 2, 20, 8, poisonScores},
+	} {
+		rng := rand.New(rand.NewSource(62))
+		q := Randn(rng, 1, tc.bh, tc.t, tc.d)
+		k := Randn(rng, 1, tc.bh, tc.t, tc.d)
+		v := Randn(rng, 1, tc.bh, tc.t, tc.d)
+		if tc.poison != nil {
+			tc.poison(q, k)
+		}
+		want := probSparseChain(q, k, v, 0.35, 5)
+		ar := NewInferenceArena()
+		got := ProbSparseAttention(q.InArena(ar), k, v, 0.35, 5)
+		for i := range want.Data {
+			if !sameFloat(got.Data[i], want.Data[i]) {
+				t.Fatalf("%s: out[%d] inference %v, chain %v (want bit-equal)", tc.name, i, got.Data[i], want.Data[i])
+			}
+		}
+		ar.Release()
+	}
+}
+
+// TestProbSparseMatchesReference compares the fused ProbSparse node
+// against the chain on the reference kernels: forward bit-equal, gradients
+// within the documented 1e-9 of the reference backward kernels.
+func TestProbSparseMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bh, t, d int
+	}{
+		{"Rows", 3, 20, 8},
+		{"Short", 2, 7, 3},
+	} {
+		build := func(q, k, v *Tensor) *Tensor { return ProbSparseAttention(q, k, v, 0.35, 5) }
+		fast := evalProbSparse(63, tc.bh, tc.t, tc.d, nil, build)
+		var ref attnRun
+		withReferenceKernels(t, func() { ref = evalProbSparse(63, tc.bh, tc.t, tc.d, nil, build) })
+		for i := range ref.out {
+			if fast.out[i] != ref.out[i] {
+				t.Fatalf("%s: out[%d] fast %v, reference %v (want bit-equal)", tc.name, i, fast.out[i], ref.out[i])
+			}
+		}
+		for kind, pair := range map[string][2][]float64{
+			"gq": {fast.gq, ref.gq}, "gk": {fast.gk, ref.gk}, "gv": {fast.gv, ref.gv},
+		} {
+			for i := range pair[1] {
+				if math.Abs(pair[0][i]-pair[1][i]) > 1e-9 {
+					t.Fatalf("%s: %s[%d] fast %v, reference %v", tc.name, kind, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+}
+
+// arenaFloats is the pooled float64 capacity an arena has handed out since
+// its last Reset.
+func arenaFloats(a *Arena) int {
+	n := 0
+	for _, bp := range a.live {
+		n += cap(*bp)
+	}
+	return n
+}
+
+// TestInferenceArenaBuildsNoGraph runs one forward pass through every op
+// family of the deep models in a gradient arena and in an inference arena.
+// The outputs must agree bit for bit; the inference pass must link no node
+// into a graph (no Grad buffer, parents, or backward closure) and hold less
+// arena memory than the gradient pass minus that pass's Grad buffers.
+func TestInferenceArenaBuildsNoGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	const b, tlen, d, heads = 2, 20, 8, 2
+	mha := NewMultiHeadAttention(rng, d, heads)
+	ln := NewLayerNorm(d)
+	ff := NewLinear(rng, d, d)
+	conv := NewConv1D(rng, 3, d, d)
+	gru := NewGRUCell(rng, d, d)
+	pe := NewPositionalEncoding(tlen, d)
+	wa, wb := NewLinear(rng, tlen, 4), NewLinear(rng, tlen, 4)
+	mask := CausalMask(tlen)
+	xData := Randn(rng, 1, b, tlen, d).Data
+	forward := func(a *Arena) *Tensor {
+		x := New([]int{b, tlen, d}, append([]float64(nil), xData...)).InArena(a)
+		h := ln.Forward(Add(pe.Add(x), mha.Forward(x, x, x, mask)))
+		h = Add(h, mha.Forward(h, h, h, nil))
+		s := SplitHeads(h, heads)
+		h = Add(h, MergeHeads(ProbSparseAttention(s, s, s, 0.5, 4), heads))
+		h = MaxPool1D(ELU(conv.Forward(h)), 3, 2) // [b, tlen/2, d]
+		h = ff.ForwardAct(h, ActGELU)
+		step := Reshape(Narrow(h, 1, 0, 1), b, d)
+		g := gru.Step(step, ZerosLike(step, b, d))
+		flat := Reshape(Narrow(Transpose(Reshape(x, b, tlen, d)), 1, 0, 1), b, tlen)
+		lin := LinearPairSum(MovingAvg1D(flat, 5), wa.W, wa.B, flat, wb.W, wb.B)
+		return Concat(1, g, Dropout(lin, 0.1, rng, false), Sigmoid(Tanh(MatMul(g, ff.W))))
+	}
+	gr := NewArena()
+	defer gr.Release()
+	inf := NewInferenceArena()
+	defer inf.Release()
+	want := forward(gr)
+	got := forward(inf)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("out[%d]: inference %v, gradient arena %v (want bit-equal)", i, got.Data[i], want.Data[i])
+		}
+	}
+	if !want.RequiresGrad() || got.RequiresGrad() {
+		t.Fatalf("RequiresGrad: gradient arena %v, inference arena %v", want.RequiresGrad(), got.RequiresGrad())
+	}
+	for i, n := range inf.nodeLive {
+		if n.Grad != nil || len(n.parents) != 0 || n.backward != nil || n.requiresGrad {
+			t.Fatalf("inference node %d (shape %v) is linked into a graph", i, n.Shape)
+		}
+	}
+	gradBufs := 0
+	for _, n := range gr.nodeLive {
+		gradBufs += cap(n.Grad)
+	}
+	if gradBufs == 0 {
+		t.Fatal("the gradient arena allocated no Grad buffers")
+	}
+	if fi, fg := arenaFloats(inf), arenaFloats(gr); fi+gradBufs > fg {
+		t.Fatalf("inference arena holds %d floats; gradient arena %d, of which %d Grad", fi, fg, gradBufs)
+	}
+}

@@ -46,7 +46,7 @@ func matmulFwd(dst, a, b []float64, m, k, n int) {
 		matmulFwdRef(dst, a, b, m, k, n)
 		return
 	}
-	if m >= 16 && k >= 8 {
+	if matmulFwdPacks(m, k) {
 		bp, bt := getScratch(k * n)
 		packTranspose(bt, b, k, n)
 		matmulNT(dst, a, bt, m, n, k)
@@ -91,6 +91,11 @@ func matmulFwd(dst, a, b []float64, m, k, n int) {
 		}
 	}
 }
+
+// matmulFwdPacks reports whether matmulFwd computes an [m,k]·[k,n] product
+// in the packed dot-product form (matmulNT over bᵀ) rather than the axpy
+// form. Ops that compute a subset of a MatMul's rows mirror the choice.
+func matmulFwdPacks(m, k int) bool { return m >= 16 && k >= 8 }
 
 // matmulFwdRef is the original triple loop (zero-skip on A elements).
 func matmulFwdRef(dst, a, b []float64, m, k, n int) {

@@ -49,6 +49,9 @@ func Mul(a, b *Tensor) *Tensor {
 	for i := range data {
 		data[i] = a.Data[i] * b.Data[i]
 	}
+	if noGrad(arenaOf2(a, b)) {
+		return result(a.Shape, data, nil, a, b)
+	}
 	return result(a.Shape, data, func(out *Tensor) {
 		if a.requiresGrad {
 			for i, g := range out.Grad {
@@ -303,6 +306,9 @@ func Narrow(a *Tensor, axis, start, length int) *Tensor {
 		dst := o * length * inner
 		copy(data[dst:dst+length*inner], a.Data[src:src+length*inner])
 	}
+	if noGrad(a.arena) {
+		return result(outShape, data, nil, a)
+	}
 	return result(outShape, data, func(out *Tensor) {
 		if !a.requiresGrad {
 			return
@@ -395,22 +401,7 @@ func Softmax(a *Tensor) *Tensor {
 	rows := len(a.Data) / d
 	data := allocFromUninit(arenaOf(a), len(a.Data))
 	for r := 0; r < rows; r++ {
-		row := a.Data[r*d : (r+1)*d]
-		maxV := row[0]
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		o := data[r*d : (r+1)*d]
-		for i, v := range row {
-			o[i] = math.Exp(v - maxV)
-			sum += o[i]
-		}
-		for i := range o {
-			o[i] /= sum
-		}
+		softmaxRow(data[r*d:(r+1)*d], a.Data[r*d:(r+1)*d])
 	}
 	return result(a.Shape, data, func(out *Tensor) {
 		if !a.requiresGrad {
@@ -431,6 +422,25 @@ func Softmax(a *Tensor) *Tensor {
 	}, a)
 }
 
+// softmaxRow writes the numerically stable softmax of src into dst, which
+// may alias src.
+func softmaxRow(dst, src []float64) {
+	maxV := src[0]
+	for _, v := range src {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for i, v := range src {
+		dst[i] = math.Exp(v - maxV)
+		sum += dst[i]
+	}
+	for i := range dst {
+		dst[i] /= sum
+	}
+}
+
 // LayerNorm normalises the last dimension to zero mean and unit variance
 // and applies learnable gain and bias (each of length = last dim).
 func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
@@ -441,8 +451,13 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 	rows := len(a.Data) / d
 	ar := arenaOf(a)
 	data := allocFromUninit(ar, len(a.Data))
-	norm := allocFromUninit(ar, len(a.Data)) // cached normalised values
-	invStd := allocFromUninit(ar, rows)
+	// The normalised values and inverse deviations are cached for backward
+	// only; an inference arena skips them.
+	var norm, invStd []float64
+	if !noGrad(ar) {
+		norm = allocFromUninit(ar, len(a.Data))
+		invStd = allocFromUninit(ar, rows)
+	}
 	for r := 0; r < rows; r++ {
 		row := a.Data[r*d : (r+1)*d]
 		var m float64
@@ -456,10 +471,14 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 		}
 		v /= float64(d)
 		is := 1 / math.Sqrt(v+eps)
-		invStd[r] = is
+		if invStd != nil {
+			invStd[r] = is
+		}
 		for i, x := range row {
 			nv := (x - m) * is
-			norm[r*d+i] = nv
+			if norm != nil {
+				norm[r*d+i] = nv
+			}
 			data[r*d+i] = nv*gain.Data[i] + bias.Data[i]
 		}
 	}

@@ -114,11 +114,11 @@ func (t *Tensor) Item() float64 {
 }
 
 // result builds an op output that links into the autodiff graph when any
-// parent requires gradients. On the fast path the output node itself comes
-// from the inputs' arena, which recycles the Tensor struct together with
-// its Shape and parent-list capacity; copying the variadic parents into the
-// pooled slice also lets the compiler keep the call-site argument slice off
-// the heap.
+// parent requires gradients and the inputs' arena is not an inference
+// arena. On the fast path the output node itself comes from the inputs'
+// arena, which recycles the Tensor struct together with its Shape and
+// parent-list capacity; copying the variadic parents into the pooled slice
+// also lets the compiler keep the call-site argument slice off the heap.
 func result(shape []int, data []float64, back func(out *Tensor), parents ...*Tensor) *Tensor {
 	var ar *Arena
 	requiresGrad := false
@@ -140,7 +140,7 @@ func result(shape []int, data []float64, back func(out *Tensor), parents ...*Ten
 		out = New(shape, data)
 		out.arena = ar
 	}
-	if requiresGrad && back != nil {
+	if requiresGrad && back != nil && !noGrad(ar) {
 		out.requiresGrad = true
 		out.Grad = allocFrom(ar, len(data))
 		out.parents = append(out.parents, parents...)

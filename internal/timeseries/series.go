@@ -107,13 +107,24 @@ func (s *Series) MaxAbsError(o *Series) (float64, error) {
 // MaxRelError returns the largest pointwise relative error |v-w|/|v|
 // between two equal-length series. Points where |v| == 0 contribute their
 // absolute error instead (a relative bound requires them to be exact).
+// A point that matches exactly, NaN for NaN or infinity for infinity of
+// the same sign, contributes 0; any other mismatch involving a non-finite
+// value contributes +Inf, so no bound can pass a NaN or infinite
+// reconstruction of a finite value, or a finite one of a non-finite value.
 func (s *Series) MaxRelError(o *Series) (float64, error) {
 	if len(s.Values) != len(o.Values) {
 		return 0, errors.New("timeseries: length mismatch")
 	}
 	var m float64
 	for i, v := range s.Values {
-		d := math.Abs(v - o.Values[i])
+		w := o.Values[i]
+		if v == w || (math.IsNaN(v) && math.IsNaN(w)) {
+			continue
+		}
+		if !isFinite(v) || !isFinite(w) {
+			return math.Inf(1), nil
+		}
+		d := math.Abs(v - w)
 		if av := math.Abs(v); av > 0 {
 			d /= av
 		}
@@ -123,6 +134,8 @@ func (s *Series) MaxRelError(o *Series) (float64, error) {
 	}
 	return m, nil
 }
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Split divides the series into train/validation/test partitions by the
 // given fractions (which must be positive and sum to at most 1; any

@@ -100,6 +100,41 @@ func TestMaxRelError(t *testing.T) {
 	}
 }
 
+// TestMaxRelErrorNonFinite: a non-finite mismatch is an error of +Inf, not
+// a NaN that every comparison against a bound lets through, and an exact
+// match passes, NaN-ness included.
+func TestMaxRelErrorNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name       string
+		raw, recon []float64
+		want       float64
+	}{
+		{"finite", []float64{10, 0, -4}, []float64{11, 0.5, -4.2}, 0.5},
+		{"NaN reconstruction", []float64{10, 2, 3}, []float64{10, nan, 3}, inf},
+		{"NaN reconstruction of zero", []float64{0}, []float64{nan}, inf},
+		{"+Inf reconstruction", []float64{10, 2}, []float64{inf, 2}, inf},
+		{"-Inf reconstruction", []float64{10, 2}, []float64{10, -inf}, inf},
+		{"finite reconstruction of NaN", []float64{nan, 1}, []float64{0, 1}, inf},
+		{"finite reconstruction of +Inf", []float64{inf}, []float64{1e308}, inf},
+		{"-Inf reconstruction of +Inf", []float64{inf}, []float64{-inf}, inf},
+		{"NaN reconstruction of -Inf", []float64{-inf}, []float64{nan}, inf},
+		{"exact NaN", []float64{nan, 4}, []float64{nan, 5}, 0.25},
+		{"exact infinities", []float64{inf, -inf, 8}, []float64{inf, -inf, 8}, 0},
+		{"overflowing difference", []float64{1e308}, []float64{-1e308}, inf},
+		{"mismatch after NaN", []float64{1, 2, 3}, []float64{nan, 2, 4}, inf},
+	} {
+		a := New("x", 0, 1, tc.raw)
+		got, err := a.MaxRelError(New("x", 0, 1, tc.recon))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !(got == tc.want || math.Abs(got-tc.want) <= 1e-12) {
+			t.Errorf("%s: MaxRelError = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSplit(t *testing.T) {
 	s := New("x", 0, 60, seq(100))
 	train, val, test, err := s.Split(0.7, 0.1, 0.2)
