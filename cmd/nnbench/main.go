@@ -42,12 +42,15 @@ type comparison struct {
 }
 
 type report struct {
-	Tool     string       `json:"tool"`
-	Quick    bool         `json:"quick"`
-	GoArch   string       `json:"goarch"`
-	NumCPU   int          `json:"num_cpu"`
-	Headline headline     `json:"headline"`
-	Results  []comparison `json:"results"`
+	Tool        string       `json:"tool"`
+	Quick       bool         `json:"quick"`
+	GoVersion   string       `json:"go_version"`
+	GoArch      string       `json:"goarch"`
+	NumCPU      int          `json:"num_cpu"`
+	GoMaxProcs  int          `json:"gomaxprocs"`
+	AVX2Kernels bool         `json:"avx2_kernels"`
+	Headline    headline     `json:"headline"`
+	Results     []comparison `json:"results"`
 }
 
 type headline struct {
@@ -157,7 +160,10 @@ func main() {
 		{"TransformerStep", func() (func(), error) { return forecast.OneTrainingStep("Transformer", 32, 1) }},
 	}
 
-	rep := report{Tool: "nnbench", Quick: *quick, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU()}
+	rep := report{
+		Tool: "nnbench", Quick: *quick, GoVersion: runtime.Version(), GoArch: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), AVX2Kernels: nn.AVX2Kernels(),
+	}
 	for _, w := range workloads {
 		var cmp comparison
 		cmp.Benchmark = w.name

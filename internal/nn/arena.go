@@ -26,6 +26,11 @@ func UseReferenceKernels(on bool) { refKernels.Store(on) }
 // ReferenceKernelsEnabled reports which kernel path is active.
 func ReferenceKernelsEnabled() bool { return refKernels.Load() }
 
+// AVX2Kernels reports whether the fast path runs the AVX2 assembly matmul
+// kernels (amd64 with AVX2, decided once at start-up) rather than the
+// portable Go kernels. Both compute bit-identical results.
+func AVX2Kernels() bool { return useAVX2 }
+
 // Buffers are pooled in power-of-two size classes from 64 to 4M float64s
 // (512 B to 32 MB). Larger requests fall through to plain allocation.
 const (

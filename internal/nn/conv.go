@@ -57,7 +57,7 @@ func (c *Conv1D) Forward(x *Tensor) *Tensor {
 					}
 					wRow := w.Data[(k*c.In+ci)*c.Out : (k*c.In+ci+1)*c.Out]
 					for co := range out {
-						out[co] += xv * wRow[co]
+						out[co] += float64(xv * wRow[co])
 					}
 				}
 			}
@@ -83,13 +83,13 @@ func (c *Conv1D) Forward(x *Tensor) *Tensor {
 						if w.requiresGrad {
 							wgRow := w.Grad[(k*c.In+ci)*c.Out : (k*c.In+ci+1)*c.Out]
 							for co := range g {
-								wgRow[co] += in[ci] * g[co]
+								wgRow[co] += float64(in[ci] * g[co])
 							}
 						}
 						if x.requiresGrad {
 							var s float64
 							for co := range g {
-								s += wRow[co] * g[co]
+								s += float64(wRow[co] * g[co])
 							}
 							x.Grad[(bi*t+src)*c.In+ci] += s
 						}
@@ -174,7 +174,7 @@ func ELU(a *Tensor) *Tensor {
 			if a.Data[i] > 0 {
 				a.Grad[i] += g
 			} else {
-				a.Grad[i] += g * (out.Data[i] + 1)
+				a.Grad[i] += float64(g * (out.Data[i] + 1))
 			}
 		}
 	}, a)

@@ -61,7 +61,7 @@ func applyActInPlace(buf []float64, act Activation) {
 		}
 	case ActGELU:
 		for i, x := range buf {
-			buf[i] = 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
+			buf[i] = 0.5 * x * (1 + math.Tanh(geluC*(x+float64(0.044715*x*x*x))))
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", act))
@@ -88,14 +88,14 @@ func actGradInto(dpre, g, y, preact []float64, act Activation) {
 	case ActTanh:
 		for i, gv := range g {
 			t := y[i]
-			dpre[i] = gv * (1 - t*t)
+			dpre[i] = gv * (1 - float64(t*t))
 		}
 	case ActGELU:
 		for i, gv := range g {
 			x := preact[i]
-			t := math.Tanh(geluC * (x + 0.044715*x*x*x))
-			dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
-			dpre[i] = gv * (0.5*(1+t) + 0.5*x*dt)
+			t := math.Tanh(geluC * (x + float64(0.044715*x*x*x)))
+			dt := (1 - float64(t*t)) * geluC * (1 + float64(3*0.044715*x*x))
+			dpre[i] = gv * (float64(0.5*(1+t)) + float64(0.5*x*dt))
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", act))
@@ -165,9 +165,7 @@ func LinearFused(x, w, b *Tensor, act Activation) *Tensor {
 			matmulBwdB(w.Grad, x.Data, dpre, rows, in, out)
 		}
 		if x.requiresGrad {
-			// dX = g·wᵀ reads w's rows directly with unit stride — no
-			// packed transpose needed for the weight layout.
-			matmulNT(x.Grad, dpre, w.Data, rows, in, out)
+			matmulGradIn(x.Grad, dpre, w.Data, rows, in, out) // dX = g·wᵀ
 		}
 	}
 	if b != nil {
@@ -193,7 +191,7 @@ func AddSigmoid(a, b *Tensor) *Tensor {
 		ag, bg := a.requiresGrad, b.requiresGrad
 		for i, g := range out.Grad {
 			s := out.Data[i]
-			d := g * s * (1 - s)
+			d := float64(g * s * (1 - s))
 			if ag {
 				a.Grad[i] += d
 			}
@@ -221,7 +219,7 @@ func AddTanh(a, b *Tensor) *Tensor {
 		ag, bg := a.requiresGrad, b.requiresGrad
 		for i, g := range out.Grad {
 			t := out.Data[i]
-			d := g * (1 - t*t)
+			d := float64(g * (1 - float64(t*t)))
 			if ag {
 				a.Grad[i] += d
 			}
@@ -244,7 +242,7 @@ func Lerp(a, b, w *Tensor) *Tensor {
 	data := allocFromUninit(arenaOf2(a, b), len(a.Data))
 	for i := range data {
 		wv := w.Data[i]
-		data[i] = (1-wv)*a.Data[i] + wv*b.Data[i]
+		data[i] = float64((1-wv)*a.Data[i]) + float64(wv*b.Data[i])
 	}
 	if noGrad(arenaOf2(a, b)) {
 		return result(a.Shape, data, nil, a, b, w)
@@ -254,13 +252,13 @@ func Lerp(a, b, w *Tensor) *Tensor {
 		for i, g := range out.Grad {
 			wv := w.Data[i]
 			if ag {
-				a.Grad[i] += g * (1 - wv)
+				a.Grad[i] += float64(g * (1 - wv))
 			}
 			if bg {
-				b.Grad[i] += g * wv
+				b.Grad[i] += float64(g * wv)
 			}
 			if wg {
-				w.Grad[i] += g * (b.Data[i] - a.Data[i])
+				w.Grad[i] += float64(g * (b.Data[i] - a.Data[i]))
 			}
 		}
 	}, a, b, w)
@@ -311,7 +309,7 @@ func LinearPairSum(a, wa, ba, b, wb, bb *Tensor) *Tensor {
 				matmulBwdB(side.w.Grad, side.x.Data, g, rows, side.in, out)
 			}
 			if side.x.requiresGrad {
-				matmulNT(side.x.Grad, g, side.w.Data, rows, side.in, out)
+				matmulGradIn(side.x.Grad, g, side.w.Data, rows, side.in, out)
 			}
 		}
 	}, a, wa, ba, b, wb, bb)
@@ -443,10 +441,10 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 					maxV = s
 				}
 			}
-			maxS := maxV * sc
+			maxS := float64(maxV * sc)
 			var sum float64
 			for j, s := range row {
-				row[j] = math.Exp(s*sc - maxS)
+				row[j] = math.Exp(float64(s*sc) - maxS)
 				sum += row[j]
 			}
 			for j := range row {
@@ -491,7 +489,7 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 				drow := dp[i*tk : i*tk+e]
 				var dot float64
 				for j := range prow {
-					dot += prow[j] * drow[j]
+					dot += float64(prow[j] * drow[j])
 				}
 				for j := range prow {
 					drow[j] = scale * (prow[j] * (drow[j] - dot))

@@ -263,12 +263,14 @@ func TestScaledDotAttentionMatchesReference(t *testing.T) {
 }
 
 // TestMatMulKernelsOddShapes exercises the 4-row blocking remainder paths:
-// every m around the block size, including shapes smaller than one block.
+// every m around the block size, including shapes smaller than one block,
+// and m around 16, where matmulFwd switches to the dot form (k ≥ 8), with n
+// around the 8-column tiles of the AVX2 kernels.
 func TestMatMulKernelsOddShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-		for _, k := range []int{1, 3, 8} {
-			for _, n := range []int{1, 5, 16} {
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 21} {
+		for _, k := range []int{1, 3, 8, 9} {
+			for _, n := range []int{1, 5, 8, 9, 16, 17} {
 				a := Randn(rng, 1, m, k).Param()
 				b := Randn(rng, 1, k, n).Param()
 				c := Randn(rng, 1, m, n)

@@ -308,7 +308,7 @@ func MovingAvg1D(x *Tensor, kernel int) *Tensor {
 			g := out.Grad[bi*l : (bi+1)*l]
 			xg := x.Grad[bi*l : (bi+1)*l]
 			for i := 0; i < l; i++ {
-				gi := g[i] * inv
+				gi := float64(g[i] * inv)
 				for j := i - front; j <= i+back; j++ {
 					xg[clampIdx(j)] += gi
 				}

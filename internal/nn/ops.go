@@ -55,12 +55,12 @@ func Mul(a, b *Tensor) *Tensor {
 	return result(a.Shape, data, func(out *Tensor) {
 		if a.requiresGrad {
 			for i, g := range out.Grad {
-				a.Grad[i] += g * b.Data[i]
+				a.Grad[i] += float64(g * b.Data[i])
 			}
 		}
 		if b.requiresGrad {
 			for i, g := range out.Grad {
-				b.Grad[i] += g * a.Data[i]
+				b.Grad[i] += float64(g * a.Data[i])
 			}
 		}
 	}, a, b)
@@ -75,7 +75,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return result(a.Shape, data, func(out *Tensor) {
 		if a.requiresGrad {
 			for i, g := range out.Grad {
-				a.Grad[i] += g * s
+				a.Grad[i] += float64(g * s)
 			}
 		}
 	}, a)
@@ -346,7 +346,7 @@ func GELU(a *Tensor) *Tensor {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	data := allocFromUninit(arenaOf(a), len(a.Data))
 	for i, x := range a.Data {
-		data[i] = 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+		data[i] = 0.5 * x * (1 + math.Tanh(c*(x+float64(0.044715*x*x*x))))
 	}
 	return result(a.Shape, data, func(out *Tensor) {
 		if !a.requiresGrad {
@@ -354,9 +354,9 @@ func GELU(a *Tensor) *Tensor {
 		}
 		for i, g := range out.Grad {
 			x := a.Data[i]
-			t := math.Tanh(c * (x + 0.044715*x*x*x))
-			dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
-			a.Grad[i] += g * (0.5*(1+t) + 0.5*x*dt)
+			t := math.Tanh(c * (x + float64(0.044715*x*x*x)))
+			dt := (1 - float64(t*t)) * c * (1 + float64(3*0.044715*x*x))
+			a.Grad[i] += float64(g * (float64(0.5*(1+t)) + float64(0.5*x*dt)))
 		}
 	}, a)
 }
@@ -373,7 +373,7 @@ func Sigmoid(a *Tensor) *Tensor {
 		}
 		for i, g := range out.Grad {
 			s := out.Data[i]
-			a.Grad[i] += g * s * (1 - s)
+			a.Grad[i] += float64(g * s * (1 - s))
 		}
 	}, a)
 }
@@ -390,7 +390,7 @@ func Tanh(a *Tensor) *Tensor {
 		}
 		for i, g := range out.Grad {
 			t := out.Data[i]
-			a.Grad[i] += g * (1 - t*t)
+			a.Grad[i] += float64(g * (1 - float64(t*t)))
 		}
 	}, a)
 }
@@ -412,11 +412,11 @@ func Softmax(a *Tensor) *Tensor {
 			g := out.Grad[r*d : (r+1)*d]
 			var dot float64
 			for i := range o {
-				dot += o[i] * g[i]
+				dot += float64(o[i] * g[i])
 			}
 			ag := a.Grad[r*d : (r+1)*d]
 			for i := range o {
-				ag[i] += o[i] * (g[i] - dot)
+				ag[i] += float64(o[i] * (g[i] - dot))
 			}
 		}
 	}, a)
@@ -467,7 +467,7 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 		m /= float64(d)
 		var v float64
 		for _, x := range row {
-			v += (x - m) * (x - m)
+			v += float64((x - m) * (x - m))
 		}
 		v /= float64(d)
 		is := 1 / math.Sqrt(v+eps)
@@ -479,7 +479,7 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 			if norm != nil {
 				norm[r*d+i] = nv
 			}
-			data[r*d+i] = nv*gain.Data[i] + bias.Data[i]
+			data[r*d+i] = float64(nv*gain.Data[i]) + bias.Data[i]
 		}
 	}
 	return result(a.Shape, data, func(out *Tensor) {
@@ -495,7 +495,7 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 			nv := norm[r*d : (r+1)*d]
 			if gain.requiresGrad {
 				for i := range g {
-					gain.Grad[i] += g[i] * nv[i]
+					gain.Grad[i] += float64(g[i] * nv[i])
 				}
 			}
 			if bias.requiresGrad {
@@ -505,14 +505,14 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 				// dL/dx = invStd/d · (d·gy − Σgy − n·Σ(gy·n)), gy = g·gain
 				var sumGy, sumGyN float64
 				for i := range g {
-					gy[i] = g[i] * gain.Data[i]
+					gy[i] = float64(g[i] * gain.Data[i])
 					sumGy += gy[i]
-					sumGyN += gy[i] * nv[i]
+					sumGyN += float64(gy[i] * nv[i])
 				}
 				is := invStd[r]
 				ag := a.Grad[r*d : (r+1)*d]
 				for i := range gy {
-					ag[i] += is / float64(d) * (float64(d)*gy[i] - sumGy - nv[i]*sumGyN)
+					ag[i] += float64(is / float64(d) * (float64(float64(d)*gy[i]) - sumGy - float64(nv[i]*sumGyN)))
 				}
 			}
 		}
@@ -543,7 +543,7 @@ func Dropout(a *Tensor, p float64, rng *rand.Rand, train bool) *Tensor {
 			return
 		}
 		for i, g := range out.Grad {
-			a.Grad[i] += g * mask[i]
+			a.Grad[i] += float64(g * mask[i])
 		}
 	}, a)
 }
@@ -573,7 +573,7 @@ func MSE(pred, target *Tensor) *Tensor {
 	var s float64
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	n := float64(len(pred.Data))
 	return result([]int{1}, []float64{s / n}, func(out *Tensor) {
@@ -582,7 +582,7 @@ func MSE(pred, target *Tensor) *Tensor {
 		}
 		g := out.Grad[0] * 2 / n
 		for i := range pred.Data {
-			pred.Grad[i] += g * (pred.Data[i] - target.Data[i])
+			pred.Grad[i] += float64(g * (pred.Data[i] - target.Data[i]))
 		}
 	}, pred)
 }

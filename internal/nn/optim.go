@@ -44,9 +44,9 @@ func (a *Adam) Step(params []*Tensor) {
 		}
 		v := a.v[p]
 		for i := range p.Data {
-			g := p.Grad[i] + a.WeightDecay*p.Data[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			g := p.Grad[i] + float64(a.WeightDecay*p.Data[i])
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
 			mHat := m[i] / bc1
 			vHat := v[i] / bc2
 			p.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
@@ -67,7 +67,7 @@ func ClipGradNorm(params []*Tensor, max float64) float64 {
 	var total float64
 	for _, p := range params {
 		for _, g := range p.Grad {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

@@ -162,7 +162,7 @@ func ProbSparseAttention(q, k, v *Tensor, scale float64, u int) *Tensor {
 				prow := pb[i*t : (i+1)*t]
 				var dot float64
 				for j := range prow {
-					dot += prow[j] * da[j]
+					dot += float64(prow[j] * da[j])
 				}
 				for j := range prow {
 					dsRow[j] = prow[j] * (da[j] - dot) * scale
