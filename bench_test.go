@@ -430,7 +430,14 @@ func benchInnerGrid(b *testing.B, parallelism int) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(g.Timings.Forecast.Seconds(), "forecastSec")
+			for _, st := range g.Timings.Stages {
+				switch st.Name {
+				case core.StageTrain:
+					b.ReportMetric(st.Total.Seconds(), "trainSec")
+				case core.StageForecast:
+					b.ReportMetric(st.Total.Seconds(), "forecastSec")
+				}
+			}
 			b.ReportMetric(float64(g.Timings.Units), "units")
 			b.ReportMetric(float64(g.Timings.CellEvals), "cellEvals")
 		}

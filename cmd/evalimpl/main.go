@@ -38,7 +38,6 @@ func main() {
 		grid       = cli.BindGrid(flag.CommandLine)
 		common     = cli.Bind(flag.CommandLine)
 	)
-	common.BindStream(flag.CommandLine)
 	common.BindStore(flag.CommandLine)
 	flag.Parse()
 

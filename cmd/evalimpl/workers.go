@@ -56,15 +56,6 @@ func workerArgs(grid *cli.Grid, common *cli.Common, journal string, i, n int, pe
 	if common.Parallelism != 0 {
 		args = append(args, "-parallelism", strconv.Itoa(common.Parallelism))
 	}
-	if common.RefKernels {
-		args = append(args, "-refkernels")
-	}
-	if common.Stream {
-		args = append(args, "-stream")
-	}
-	if common.ChunkSize != 0 {
-		args = append(args, "-chunk", strconv.Itoa(common.ChunkSize))
-	}
 	args = append(args,
 		"-store", journal,
 		"-partition", fmt.Sprintf("%d/%d", i+1, n),

@@ -100,10 +100,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("decoded %d points chunk by chunk, max abs reconstruction error %.4f\n", i, maxAbs)
-
-	// The evaluation harness exposes the same plane: set EvalOptions.Stream
-	// (CLI: evalimpl -stream -chunk N) and the ingest, compress, and
-	// reconstruct stages run chunked with bit-identical grid results.
 }
 
 func abs(v float64) float64 {

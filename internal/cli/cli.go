@@ -1,6 +1,6 @@
 // Package cli holds the flag plumbing the lossyts commands share: the
-// parallelism and kernel-mode knobs of the compute-heavy tools and the
-// CPU/heap profile writers every command offers. Binding them here keeps
+// parallelism knob of the compute-heavy tools and the CPU/heap profile
+// writers every command offers. Binding them here keeps
 // flag names, defaults, and help text identical across binaries.
 package cli
 
@@ -14,7 +14,6 @@ import (
 
 	"lossyts/internal/compress"
 	"lossyts/internal/core"
-	"lossyts/internal/nn"
 	"lossyts/internal/profiling"
 )
 
@@ -23,14 +22,11 @@ type Common struct {
 	// Parallelism bounds worker pools (0 = all CPUs, 1 = sequential).
 	// Grid results are bit-identical at every setting.
 	Parallelism int
-	// RefKernels selects the reference (unblocked, unfused, unpooled) nn
-	// kernels instead of the fast path.
-	RefKernels bool
 	// CPUProfile and MemProfile are profile output paths ("" = off).
 	CPUProfile string
 	MemProfile string
-	// Stream routes the data plane through chunked streaming (identical
-	// results, bounded ingest/compress memory); ChunkSize is the chunk
+	// Stream routes tscompress's round trip through the chunked streaming
+	// codec (identical payloads, bounded memory); ChunkSize is the chunk
 	// length in points (0 = the timeseries default).
 	Stream    bool
 	ChunkSize int
@@ -42,7 +38,7 @@ type Common struct {
 
 // BindProfiling registers the profiling flags on fs and returns the
 // receiver the parsed values land in. Commands without compute knobs
-// (gendata, tscompress, nnbench) use this subset.
+// (gendata, tscompress, streambench) use this subset.
 func BindProfiling(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -51,18 +47,17 @@ func BindProfiling(fs *flag.FlagSet) *Common {
 }
 
 // Bind registers the full shared flag set: profiling plus the parallelism
-// and kernel-mode knobs of the evaluation commands.
+// knob of the evaluation commands.
 func Bind(fs *flag.FlagSet) *Common {
 	c := BindProfiling(fs)
 	fs.IntVar(&c.Parallelism, "parallelism", 0, "worker bound (0 = all CPUs, 1 = sequential; results are identical)")
-	fs.BoolVar(&c.RefKernels, "refkernels", false, "use the reference (unblocked, unfused, unpooled) nn kernels")
 	return c
 }
 
-// BindStream registers the streaming data-plane flags. Commands whose data
-// path has a chunked mode (tscompress, evalimpl, streambench) add these on
-// top of their other bindings; results are identical in either mode, only
-// the memory profile changes.
+// BindStream registers the streaming data-plane flags of tscompress, whose
+// round trip has a chunked mode; results are identical in either mode, only
+// the memory profile changes. The evaluation grid has one (batch) pipeline
+// and no such flags.
 func (c *Common) BindStream(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Stream, "stream", false, "use the chunked streaming data plane (identical results, bounded memory)")
 	fs.IntVar(&c.ChunkSize, "chunk", 0, "streaming chunk length in points (0 = default)")
@@ -131,9 +126,6 @@ func (g *Grid) Options(c *Common) core.Options {
 	}
 	opts.Seed = g.Seed
 	opts.Parallelism = c.Parallelism
-	opts.ReferenceKernels = c.RefKernels
-	opts.Stream = c.Stream
-	opts.ChunkSize = c.ChunkSize
 	opts.Store = c.Store
 	if g.Datasets != "" {
 		opts.Datasets = SplitList(g.Datasets)
@@ -368,12 +360,11 @@ func (m *Monitor) SessionOptions() core.SessionOptions {
 	}
 }
 
-// Start applies the kernel mode and starts the requested profilers. The
+// Start starts the requested profilers. The
 // returned stop function flushes the profiles and must run on every exit
 // path — os.Exit skips defers, so callers invoke it explicitly before
 // exiting non-zero.
 func (c *Common) Start() (stop func() error, err error) {
-	nn.UseReferenceKernels(c.RefKernels)
 	return profiling.Start(c.CPUProfile, c.MemProfile)
 }
 

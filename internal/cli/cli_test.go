@@ -16,15 +16,30 @@ func TestBindParsesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Bind(fs)
 	err := fs.Parse([]string{
-		"-parallelism", "4", "-refkernels",
+		"-parallelism", "4",
 		"-cpuprofile", "cpu.out", "-memprofile", "mem.out",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Common{Parallelism: 4, RefKernels: true, CPUProfile: "cpu.out", MemProfile: "mem.out"}
+	want := Common{Parallelism: 4, CPUProfile: "cpu.out", MemProfile: "mem.out"}
 	if *c != want {
 		t.Fatalf("parsed %+v, want %+v", *c, want)
+	}
+}
+
+// TestBindHasNoRunModeFlags pins that the grid commands have one kernel
+// path and one stage pipeline: the retired mode switches are undefined
+// flags, not silently ignored ones.
+func TestBindHasNoRunModeFlags(t *testing.T) {
+	for _, flagName := range []string{"-refkernels", "-stream", "-chunk"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Bind(fs).BindStore(fs)
+		BindGrid(fs)
+		if err := fs.Parse([]string{flagName}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: parse error %v, want an undefined-flag error", flagName, err)
+		}
 	}
 }
 

@@ -25,15 +25,15 @@ type CellAddr struct {
 // CellKey canonically identifies one grid cell across processes: the
 // dataset, the cell address, and every option that can change the cell's
 // bytes (scale, base seed, per-class seed counts, evaluation window cap,
-// forecasting config, kernel mode), plus the record schema version. Two
-// runs computing the same CellKey are guaranteed — and tested — to produce
-// bit-identical cells, which is what makes the result store safe to reuse.
+// forecasting config), plus the record schema version. Two runs computing
+// the same CellKey are guaranteed — and tested — to produce bit-identical
+// cells, which is what makes the result store safe to reuse.
 //
-// Options deliberately absent: Parallelism, Stream, ChunkSize, and Store
-// change scheduling, memory, or persistence, never values; Datasets,
-// Models, Methods, and ErrorBounds select which cells exist, not what any
-// one cell contains (per-model metrics live inside the record, keyed by
-// model name, so a grown Models list only appends to a record).
+// Options deliberately absent: Parallelism and Store change scheduling or
+// persistence, never values; Datasets, Models, Methods, and ErrorBounds
+// select which cells exist, not what any one cell contains (per-model
+// metrics live inside the record, keyed by model name, so a grown Models
+// list only appends to a record).
 type CellKey struct {
 	Schema         int
 	Scale          float64
@@ -43,10 +43,9 @@ type CellKey struct {
 	MaxEvalWindows int
 	// Forecast is the canonical rendering of the forecasting config; a
 	// string so CellKey stays comparable and hashable.
-	Forecast   string
-	RefKernels bool
-	Dataset    string
-	Addr       CellAddr
+	Forecast string
+	Dataset  string
+	Addr     CellAddr
 }
 
 // CellKey derives the canonical key of one cell from the option set — the
@@ -62,7 +61,6 @@ func (o Options) CellKey(dataset string, m compress.Method, eps float64) CellKey
 		ShallowSeeds:   o.ShallowSeeds,
 		MaxEvalWindows: o.MaxEvalWindows,
 		Forecast:       fmt.Sprintf("%+v", o.Forecast),
-		RefKernels:     o.ReferenceKernels,
 		Dataset:        dataset,
 		Addr:           CellAddr{Method: m, Epsilon: eps},
 	}
@@ -73,9 +71,19 @@ func (o Options) CellKey(dataset string, m compress.Method, eps float64) CellKey
 // namespaces record keys, so one store file can hold cells from several
 // option sets without collisions.
 func (o Options) gridSignature() string {
-	return fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=%t;fc=%+v",
-		RecordSchema, formatEps(o.Scale), o.Seed, o.DeepSeeds, o.ShallowSeeds,
-		o.MaxEvalWindows, o.ReferenceKernels, o.Forecast)
+	return o.CellKey("", "", 0).signature()
+}
+
+// signature is the one rendering of the grid-wide fields of a key, shared
+// by cell and dataset record keys. The "ref=false" field is a fixed literal
+// of the schema-2 format: it once recorded the nn kernel mode, which is no
+// longer an option, and keeping it leaves every store and session
+// checkpoint written under schema 2 readable (a RecordSchema bump would
+// orphan them all).
+func (k CellKey) signature() string {
+	return fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=false;fc=%s",
+		k.Schema, formatEps(k.Scale), k.Seed, k.DeepSeeds, k.ShallowSeeds,
+		k.MaxEvalWindows, k.Forecast)
 }
 
 // formatEps renders a float in its shortest round-trippable form, so keys
@@ -91,9 +99,7 @@ func formatEps(v float64) string {
 func (k CellKey) String() string {
 	return strings.Join([]string{
 		"cell",
-		fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=%t;fc=%s",
-			k.Schema, formatEps(k.Scale), k.Seed, k.DeepSeeds, k.ShallowSeeds,
-			k.MaxEvalWindows, k.RefKernels, k.Forecast),
+		k.signature(),
 		k.Dataset,
 		string(k.Addr.Method),
 		formatEps(k.Addr.Epsilon),

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lossyts/internal/core/cellstore"
-	"lossyts/internal/nn"
 )
 
 // The process layer of the work plane: a partition run is one worker's
@@ -71,15 +70,8 @@ func RunPartitionContext(ctx context.Context, opts Options, workers, index int, 
 	if err := ctx.Err(); err != nil {
 		return WorkerSummary{}, err
 	}
-	// The kernel mode is process-global, exactly as in RunGridContext.
-	nn.UseReferenceKernels(opts.ReferenceKernels)
-
 	start := time.Now()
-	pipeline := DefaultPipeline()
-	if opts.Stream {
-		pipeline = StreamingPipeline()
-	}
-	rc := newRunContext(ctx, opts, pipeline)
+	rc := newRunContext(ctx, opts, DefaultPipeline())
 	if err := rc.openStore(); err != nil {
 		return WorkerSummary{}, err
 	}

@@ -36,7 +36,7 @@ type RunContext struct {
 	// answers cache misses through.
 	exec *WorkExec
 	// owned, when non-nil, restricts the run to its slice of the grid: the
-	// compress stages only materialise owned cells, so every downstream
+	// compress stage only materialises owned cells, so every downstream
 	// stage (delta planning, training, checkpointing) sees a partial grid
 	// without knowing partitions exist. nil means the run owns everything.
 	owned *WorkSet
@@ -172,9 +172,6 @@ func (p *Pipeline) run(rc *RunContext, st *pipelineState) error {
 		err := stage.Run(rc, st)
 		d := time.Since(t)
 		rc.acc.addStage(stage.Name, d)
-		if b := rc.acc.legacyBucket(stage.Name); b != nil {
-			b.Add(int64(d))
-		}
 		if err != nil {
 			if cerr := rc.Err(); cerr != nil {
 				return cerr
@@ -192,10 +189,7 @@ func (p *Pipeline) run(rc *RunContext, st *pipelineState) error {
 type pipelineState struct {
 	name string
 
-	// Ingest outputs. period and interval come from the dataset metadata,
-	// whichever ingest path (batch Load or chunked stream) produced it.
-	period           int
-	interval         int64
+	// Ingest outputs.
 	test             *timeseries.Series
 	cfg              forecast.Config
 	scaler           timeseries.StandardScaler
@@ -272,14 +266,7 @@ func runIngest(rc *RunContext, st *pipelineState) error {
 	if err != nil {
 		return err
 	}
-	st.period, st.interval = ds.SeasonalPeriod, ds.Interval
-	return finishIngest(rc, st, ds.Target())
-}
-
-// finishIngest is the tail of the ingest stage shared by the batch and
-// streaming paths: split, scale, result scaffolding, and the lossless
-// Gorilla baseline. st.period and st.interval must be set by the caller.
-func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) error {
+	target := ds.Target()
 	train, val, test, err := target.Split(0.7, 0.1, 0.2)
 	if err != nil {
 		return err
@@ -288,7 +275,7 @@ func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) 
 	if cfg.InputLen == 0 {
 		cfg = forecast.DefaultConfig()
 	}
-	cfg.SeasonalPeriod = st.period
+	cfg.SeasonalPeriod = ds.SeasonalPeriod
 	if cfg.InputLen >= test.Len()-cfg.Horizon {
 		return fmt.Errorf("test subset too short (%d) for input %d + horizon %d; increase Scale",
 			test.Len(), cfg.InputLen, cfg.Horizon)
@@ -304,8 +291,8 @@ func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) 
 	st.trainLen, st.valLen = train.Len(), val.Len()
 	st.dr = &DatasetResult{
 		Name:           st.name,
-		SeasonalPeriod: st.period,
-		Interval:       st.interval,
+		SeasonalPeriod: ds.SeasonalPeriod,
+		Interval:       ds.Interval,
 		RawValues:      target.Values,
 		RawTest:        test.Values,
 		Baselines:      map[string]stats.Metrics{},
@@ -314,49 +301,12 @@ func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) 
 	// retrain; any model it does retrain overwrites its entry with a
 	// bit-identical value.
 	st.loaded.fillBaselines(st.dr.Baselines)
-	gor, err := gorillaBaseline(rc, test)
+	gor, err := (compress.Gorilla{}).Compress(test, 0)
 	if err != nil {
 		return err
 	}
 	st.dr.GorillaCR, err = compress.Ratio(test, gor)
 	return err
-}
-
-// gorillaBaseline compresses the test subset losslessly. The streaming mode
-// feeds a chunk source into the streaming encoder — same payload, byte for
-// byte — so the whole ingest prefix exercises the chunked data plane.
-func gorillaBaseline(rc *RunContext, test *timeseries.Series) (*compress.Compressed, error) {
-	if !rc.opts.Stream {
-		return (compress.Gorilla{}).Compress(test, 0)
-	}
-	enc, err := compress.NewStreamEncoderAt(compress.MethodGorilla, test.Start, test.Interval, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := pushAll(rc, test.Chunks(rc.opts.chunkSize()), enc); err != nil {
-		return nil, err
-	}
-	return enc.Close()
-}
-
-// pushAll drains a chunk source into one or more streaming encoders,
-// checking cancellation at chunk boundaries.
-func pushAll(rc *RunContext, src timeseries.Source, encs ...*compress.StreamEncoder) error {
-	for {
-		if err := rc.Err(); err != nil {
-			return err
-		}
-		c, ok := src.Next()
-		if !ok {
-			break
-		}
-		for _, enc := range encs {
-			if err := enc.PushChunk(c); err != nil {
-				return err
-			}
-		}
-	}
-	return src.Err()
 }
 
 // runCompress builds the model-independent compression grid: one cell per
@@ -460,7 +410,7 @@ func runWindow(rc *RunContext, st *pipelineState) error {
 		rawWindows: rawWindows,
 		cells:      make([]cellPlan, len(st.evalCells)),
 		evalStride: evalStride,
-		phaseStart: (st.trainLen + st.valLen) % st.period,
+		phaseStart: (st.trainLen + st.valLen) % st.dr.SeasonalPeriod,
 	}
 	for pi, ci := range st.evalCells {
 		if err := rc.Err(); err != nil {
@@ -546,11 +496,7 @@ func runTrain(rc *RunContext, st *pipelineState) error {
 	poolRun(rc, len(st.units),
 		func(i int) error {
 			u := st.units[i]
-			tFit := time.Now()
-			defer func() {
-				rc.acc.forecast.Add(int64(time.Since(tFit)))
-				rc.acc.units.Add(1)
-			}()
+			defer rc.acc.units.Add(1)
 			mcfg := st.plan.cfg
 			mcfg.Seed = rc.opts.Seed + int64(u.si)*7919
 			model, err := forecast.New(u.model, mcfg)
@@ -580,8 +526,6 @@ func runForecast(rc *RunContext, st *pipelineState) error {
 	poolRun(rc, len(st.units),
 		func(i int) error {
 			u := st.units[i]
-			tEval := time.Now()
-			defer func() { rc.acc.forecast.Add(int64(time.Since(tEval))) }()
 			model := st.trained[u.mi][u.si]
 			// The harness knows each window's absolute position, so
 			// phase-aware models (Arima) receive real time indices for

@@ -11,10 +11,11 @@ import (
 // OneTrainingStep builds the named deep model and returns a closure running
 // one full optimizer step (forward, backward, clip, Adam update, arena
 // reset) on a fixed synthetic batch. It is the shared workload of the
-// kernel benchmarks (go test -bench and cmd/nnbench), exercising every hot
-// path of the nn package — blocked matmuls, fused ops, and the arena —
-// under whichever kernel mode (nn.UseReferenceKernels) is active when the
-// closure runs.
+// step benchmarks in internal/nn and of perfbench's nn.step_ms rungs,
+// exercising every hot path of the nn package — blocked matmuls, fused
+// ops, and the arena — under whichever kernel mode is active when the
+// closure runs (only the nn package's own tests can select the reference
+// path).
 func OneTrainingStep(modelName string, batchSize int, seed int64) (func(), error) {
 	cfg := DefaultConfig()
 	cfg.Seed = seed

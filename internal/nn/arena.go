@@ -8,28 +8,17 @@ import (
 
 // The nn compute layer has two kernel paths:
 //
-//   - the fast path (default): cache-blocked matmul kernels, fused ops, and
-//     arena-pooled buffers, and
+//   - the fast path, the only one production code runs: cache-blocked
+//     matmul kernels, fused ops, and arena-pooled buffers, and
 //   - the reference path: the original naive scalar kernels with a fresh
-//     heap allocation per op, kept for differential testing and as the
-//     baseline for the kernel benchmarks.
+//     heap allocation per op. It is the oracle of the differential tests
+//     and the baseline of the kernel benchmarks, which select it through
+//     the test-only setter in export_test.go.
 //
-// The switch is process-wide and read atomically, so flipping it between
-// training runs is safe; flipping it while a graph is being built or
-// differentiated mixes kernels within one graph and is not supported.
+// The switch is read atomically at every dispatch; flipping it while a
+// graph is being built or differentiated mixes kernels within one graph and
+// is not supported.
 var refKernels atomic.Bool
-
-// UseReferenceKernels selects the original scalar kernels and per-op heap
-// allocation (true) or the blocked/fused/pooled fast path (false, default).
-func UseReferenceKernels(on bool) { refKernels.Store(on) }
-
-// ReferenceKernelsEnabled reports which kernel path is active.
-func ReferenceKernelsEnabled() bool { return refKernels.Load() }
-
-// AVX2Kernels reports whether the fast path runs the AVX2 assembly matmul
-// kernels (amd64 with AVX2, decided once at start-up) rather than the
-// portable Go kernels. Both compute bit-identical results.
-func AVX2Kernels() bool { return useAVX2 }
 
 // Buffers are pooled in power-of-two size classes from 64 to 4M float64s
 // (512 B to 32 MB). Larger requests fall through to plain allocation.

@@ -1,9 +1,10 @@
-package forecast
+package nn_test
 
 import (
 	"math"
 	"testing"
 
+	"lossyts/internal/forecast"
 	"lossyts/internal/nn"
 )
 
@@ -19,7 +20,7 @@ func trainAndPredict(t *testing.T, modelName string, reference bool) [][]float64
 	nn.UseReferenceKernels(reference)
 	defer nn.UseReferenceKernels(false)
 
-	cfg := DefaultConfig()
+	cfg := forecast.DefaultConfig()
 	cfg.Seed = 7
 	cfg.InputLen = 16
 	cfg.Horizon = 4
@@ -33,7 +34,7 @@ func trainAndPredict(t *testing.T, modelName string, reference bool) [][]float64
 	for i := range series {
 		series[i] = math.Sin(float64(i)/6) + 0.3*math.Cos(float64(i)/17)
 	}
-	model, err := New(modelName, cfg)
+	model, err := forecast.New(modelName, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", modelName, err)
 	}
@@ -69,3 +70,27 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// benchmarkStep times one full optimizer step (forward, backward, clip,
+// Adam, arena reset) of the named deep model at the default configuration,
+// under the requested kernel mode.
+func benchmarkStep(b *testing.B, modelName string, reference bool) {
+	nn.UseReferenceKernels(reference)
+	defer nn.UseReferenceKernels(false)
+	step, err := forecast.OneTrainingStep(modelName, 32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step() // warm the arena so steady-state allocation is measured
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+func BenchmarkGRUStep(b *testing.B)          { benchmarkStep(b, "GRU", false) }
+func BenchmarkGRUStepReference(b *testing.B) { benchmarkStep(b, "GRU", true) }
+
+func BenchmarkTransformerStep(b *testing.B)          { benchmarkStep(b, "Transformer", false) }
+func BenchmarkTransformerStepReference(b *testing.B) { benchmarkStep(b, "Transformer", true) }

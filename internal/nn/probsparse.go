@@ -19,7 +19,7 @@ import (
 //	MatMul(Softmax(S)⊙active + (1/T)·lazy, v)
 //
 // with S = Scale(MatMul(q, Transpose(k)), scale), which is what it builds
-// under UseReferenceKernels. The scores are the chain's dot products,
+// on the reference kernel path. The scores are the chain's dot products,
 // written by the store form of its kernel where the chain's matmul takes
 // the packed dot form (an all-zero score may then be −0 instead of +0,
 // which neither the measurement, the selection nor the softmax can tell

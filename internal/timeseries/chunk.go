@@ -115,9 +115,8 @@ func (s *Series) Append(c Chunk) error {
 }
 
 // Collect drains a Source into a new Series with the given name. It is the
-// point where a streaming pipeline collapses to the batch representation —
-// in the evaluation engine that happens at the window stage, where models
-// need random access.
+// point where a streaming pipeline collapses to the batch representation,
+// as when a decoded stream feeds a model that needs random access.
 func Collect(name string, src Source) (*Series, error) {
 	s := &Series{Name: name}
 	for {
